@@ -40,6 +40,7 @@ _METRICS = {
     "points_per_second": (True, False),
     "resume_speedup": (True, False),
     "short_latency_speedup": (True, False),
+    "throughput_sliced_vs_plain": (True, False),
     "wall_reference_s": (False, False),
     "wall_fast_s": (False, False),
     "wall_superblock_s": (False, False),

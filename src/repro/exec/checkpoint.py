@@ -9,15 +9,18 @@ was preempted at a workgroup boundary -- the paused
 times, the instruction-count watermark, and the retired wavefronts'
 register files with their EXEC/VCC/SCC state).
 
-Checkpoints are **serializable and digest-verified**: the payload is a
-JSON-ready mapping under the :mod:`repro.obs.serialize` convention,
-``to_dict``/``from_dict`` round-trip losslessly, and a SHA-256 digest
-over the canonical encoding is checked before any restore -- a
-corrupted or tampered checkpoint raises
-:class:`~repro.errors.CheckpointError` instead of silently computing
-garbage.  The raw capture/restore mechanics live in
-:mod:`repro.soc.state`, the same mechanism the parallel launch
-engine's rollback uses; this module adds the wire format.
+Checkpoints are **serializable and digest-verified**.  In process the
+payload is a mapping of JSON-ready fields plus ``"memory"``: the raw
+``bytes`` of the written global-memory prefix ``[0, dirty_hi)``, so a
+capture costs the job's footprint, not the store size.  The wire form
+(``to_dict``) carries that prefix as base64, and ``to_dict``/
+``from_dict`` round-trip losslessly.  The SHA-256 digest covers the
+canonical JSON of every other field, a NUL byte, then the raw memory
+bytes; it is checked at ``from_dict`` and again at :meth:`apply`,
+before a restore touches the board -- a corrupted or tampered
+checkpoint raises :class:`~repro.errors.CheckpointError` instead of
+silently computing garbage.  The raw capture/restore mechanics live
+in :mod:`repro.soc.state`; this module adds the wire format.
 
 The public API is :meth:`repro.exec.BoardLease.checkpoint` /
 :meth:`~repro.exec.BoardLease.restore`; the
@@ -29,6 +32,7 @@ The public API is :meth:`repro.exec.BoardLease.checkpoint` /
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 from dataclasses import dataclass
@@ -45,8 +49,9 @@ from ..obs.serialize import SerializableMixin
 STATUS_DONE = "done"
 STATUS_PREEMPTED = "preempted"
 
-#: Wire-format version; bumped on incompatible payload changes.
-CHECKPOINT_VERSION = 1
+#: Wire-format version; bumped on incompatible payload changes.  Version
+#: 2 carries only the written memory prefix and hashes it raw.
+CHECKPOINT_VERSION = 2
 
 
 def _b64(raw):
@@ -58,10 +63,16 @@ def _unb64(text):
 
 
 def _digest_payload(payload):
-    """Canonical SHA-256 over a JSON-ready payload mapping."""
-    encoded = json.dumps(payload, sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()
+    """SHA-256 over the canonical JSON of every non-memory field, a NUL
+    byte (never present in JSON text), then the raw memory bytes --
+    memory is never pushed through ``json.dumps``."""
+    fields = {key: value for key, value in payload.items()
+              if key != "memory"}
+    digest = hashlib.sha256(json.dumps(
+        fields, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    digest.update(b"\0")
+    digest.update(payload["memory"])
+    return digest.hexdigest()
 
 
 # -- stats / registers / frame serialization ---------------------------------
@@ -223,11 +234,12 @@ def _timing_from_dict(data):
 class BoardCheckpoint(SerializableMixin):
     """One serializable, digest-verified board state.
 
-    Internally the checkpoint *is* its JSON-ready payload mapping plus
-    the SHA-256 digest over its canonical encoding -- which makes
-    ``to_dict``/``from_dict`` lossless by construction and lets
-    :meth:`verify` detect any corruption before a restore touches a
-    board.  Capture with :meth:`capture` (or, normally,
+    Internally the checkpoint *is* its payload mapping -- JSON-ready
+    fields plus the raw memory prefix under ``"memory"`` -- and the
+    SHA-256 digest over it, which makes ``to_dict``/``from_dict``
+    lossless by construction and lets :meth:`verify` detect any
+    corruption before a restore touches a board.  Capture with
+    :meth:`capture` (or, normally,
     :meth:`repro.exec.BoardLease.checkpoint`).
     """
 
@@ -253,7 +265,7 @@ class BoardCheckpoint(SerializableMixin):
             "arch": board.arch.to_dict(),
             "global_mem_size": gpu.memory.global_mem.size,
             "max_instructions": max_instructions,
-            "memory": _b64(np.ascontiguousarray(state["memory"]).tobytes()),
+            "memory": state["memory"],
             "heap": {
                 "cursor": board.heap.used,
                 "buffers": [{"name": buf.name, "offset": buf.offset,
@@ -286,6 +298,7 @@ class BoardCheckpoint(SerializableMixin):
 
     def to_dict(self):
         out = dict(self.payload)
+        out["memory"] = _b64(self.payload["memory"])
         out["digest"] = self.digest
         return out
 
@@ -299,6 +312,11 @@ class BoardCheckpoint(SerializableMixin):
             raise CheckpointError(
                 "unsupported checkpoint version {!r} (expected {})".format(
                     data.get("version"), CHECKPOINT_VERSION))
+        try:
+            data["memory"] = base64.b64decode(data["memory"], validate=True)
+        except (KeyError, TypeError, ValueError, binascii.Error) as exc:
+            raise CheckpointError(
+                "checkpoint memory is not valid base64: {}".format(exc))
         cp = cls(payload=data, digest=digest)
         cp.verify()
         return cp
@@ -352,8 +370,9 @@ class BoardCheckpoint(SerializableMixin):
         Callers go through :meth:`repro.exec.BoardLease.restore`,
         which also enforces the board-key match; ``apply`` assumes the
         board's physical identity is right and rebuilds everything
-        else: memory, heap, prefetch, timing, timeline, and the paused
-        launch frame (if any).
+        else: memory (the prefix, zero-extended to the store size),
+        heap, prefetch, timing, timeline, and the paused launch frame
+        (if any).
         """
         from ..runtime.buffers import Buffer
         from ..soc.state import restore_board_state
@@ -361,13 +380,13 @@ class BoardCheckpoint(SerializableMixin):
         self.verify()
         payload = self.payload
         gpu = board.gpu
-        image = np.frombuffer(_unb64(payload["memory"]), dtype=np.uint8)
-        if image.size != gpu.memory.global_mem.size:
+        prefix = payload["memory"]
+        if len(prefix) > gpu.memory.global_mem.size:
             raise CheckpointError(
-                "memory image is {} bytes; board has {}".format(
-                    image.size, gpu.memory.global_mem.size))
+                "memory prefix is {} bytes; board has {}".format(
+                    len(prefix), gpu.memory.global_mem.size))
         restore_board_state(gpu, {
-            "memory": image,
+            "memory": prefix,
             "timing": _timing_from_dict(payload["timing"]),
             "now": payload["now"],
             "total_instructions": payload["total_instructions"],
@@ -400,8 +419,9 @@ class PreemptedResult(SerializableMixin):
 
     What a sliced run hands back instead of outputs -- picklable and
     JSON round-trippable, so it can cross the service's process
-    boundary and be resubmitted (possibly to a different worker, which
-    is what makes preempted jobs migratable).
+    boundary as an object (raw memory bytes pickle as they are) and be
+    resubmitted, possibly to a different worker, which is what makes
+    preempted jobs migratable.
     """
 
     checkpoint: BoardCheckpoint

@@ -211,6 +211,30 @@ class GlobalMemory:
             self._bytes[:self.dirty_hi] = 0
             self.dirty_hi = 0
 
+    def snapshot_prefix(self):
+        """The written prefix ``[0, dirty_hi)`` as raw ``bytes``.
+
+        Everything above it is power-on zero, so the prefix is the
+        whole memory state at the cost of the job's footprint (see
+        :meth:`restore_prefix`).
+        """
+        return self._bytes[:self.dirty_hi].tobytes()
+
+    def restore_prefix(self, image):
+        """Restore a :meth:`snapshot_prefix` image in place.
+
+        Copies the prefix and zeroes only ``[len(image), dirty_hi)`` --
+        the rest of the store is zero already -- so the cost follows
+        the footprints involved, not the store size.  ``dirty_hi``
+        becomes ``len(image)``, keeping the next snapshot prefix-sized.
+        """
+        prefix = np.frombuffer(image, dtype=np.uint8)
+        self._check(0, prefix.size)
+        self._bytes[:prefix.size] = prefix
+        if self.dirty_hi > prefix.size:
+            self._bytes[prefix.size:self.dirty_hi] = 0
+        self.dirty_hi = prefix.size
+
     def snapshot(self):
         """Copy of the full memory image (see :meth:`restore`)."""
         return self._bytes.copy()

@@ -21,10 +21,12 @@ Three execution modes:
 * ``inline``  -- synchronous execution on the caller's thread;
   deterministic, zero concurrency.  Used for debugging.
 
-Payloads and result dicts are plain picklable data; ``ReproError``
-failures are carried *inside* the result dict rather than as pickled
-exceptions so custom exception constructors never cross the process
-boundary.
+Payloads and result dicts are picklable; a preempted slice's
+:class:`~repro.exec.PreemptedResult` travels as the object itself (no
+JSON round trip per hop; process mode pickles its raw memory bytes).
+``ReproError`` failures are carried *inside* the result dict rather
+than as pickled exceptions so custom exception constructors never
+cross the process boundary.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional, Union
 
 from ..core.config import ArchConfig
 from ..errors import ReproError, ServiceError
@@ -58,14 +60,17 @@ class JobPayload:
     global_mem_size: Optional[int] = None
     #: Preemption budget (instructions per slice), if the job is sliced.
     slice_instructions: Optional[int] = None
-    #: A ``PreemptedResult.to_dict()`` envelope when this dispatch
-    #: resumes an earlier slice; the request then restores the carried
-    #: checkpoint instead of starting the benchmark over.
-    resume: Optional[Dict[str, object]] = None
+    #: The :class:`PreemptedResult` of an earlier slice when this
+    #: dispatch resumes it (its ``to_dict()`` wire form is accepted
+    #: too); the request then restores the carried checkpoint instead
+    #: of starting the benchmark over.
+    resume: Optional[Union[PreemptedResult, Mapping[str, object]]] = None
 
     def to_request(self) -> ExecutionRequest:
         if self.resume is not None:
-            envelope = PreemptedResult.from_dict(self.resume)
+            envelope = self.resume
+            if not isinstance(envelope, PreemptedResult):
+                envelope = PreemptedResult.from_dict(envelope)
             return ExecutionRequest(
                 checkpoint=envelope.checkpoint,
                 engine=self.engine,
@@ -91,7 +96,8 @@ class JobPayload:
 
 
 def _run_payload(executor: Executor, payload: JobPayload):
-    """Execute one payload on ``executor``; returns a picklable dict."""
+    """Execute one payload on ``executor``; returns a picklable dict
+    (a preempted slice carries its ``PreemptedResult`` as ``envelope``)."""
     try:
         result = executor.execute(payload.to_request())
         if result.status == STATUS_PREEMPTED:
@@ -99,7 +105,7 @@ def _run_payload(executor: Executor, payload: JobPayload):
                 "ok": True,
                 "preempted": True,
                 "job_id": payload.job_id,
-                "envelope": result.preempted.to_dict(),
+                "envelope": result.preempted,
                 "worker": os.getpid(),
                 "warm_board": result.warm_board,
                 "engine": result.engine,

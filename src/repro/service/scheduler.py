@@ -57,8 +57,9 @@ class _Ticket:
         self.config_key = key
         self.attempts = 0
         self.preemptions = 0
-        #: PreemptedResult.to_dict() of the latest slice; the next
-        #: dispatch resumes from its checkpoint instead of restarting.
+        #: The latest slice's PreemptedResult (in-process object, not
+        #: its wire form); the next dispatch resumes from its
+        #: checkpoint instead of restarting.  Cleared at settle.
         self.resume_envelope = None
         self.submitted = None
         self.started = None
@@ -191,6 +192,8 @@ class KernelService:
             ticket = self.queue.get()
             if ticket is None:
                 return
+            if ticket.settled:  # timed out while waiting for a resume
+                continue
             # Cap in-flight jobs so the bounded admission queue -- not
             # the executor's unbounded internal queue -- absorbs load.
             while not self._inflight.acquire(timeout=0.1):
@@ -227,7 +230,19 @@ class KernelService:
                 ticket.job.timeout_s, self._on_timeout, args=(ticket,))
             ticket.timer.daemon = True
             ticket.timer.start()
-        future = self.pool.submit(payload)
+        try:
+            future = self.pool.submit(payload)
+        except Exception as exc:
+            # The pool refused the job (e.g. a broken process pool).
+            # Fail this ticket and keep the dispatcher alive: later
+            # jobs must still settle rather than hang.
+            self._settle(ticket, JobResult(
+                ticket.job_id, ticket.job, JobStatus.FAILED,
+                error="{}: {}".format(type(exc).__name__, exc),
+                attempts=ticket.attempts,
+                preemptions=ticket.preemptions,
+                latency_s=self._latency(ticket)))
+            return
         ticket.future = future
         future.add_done_callback(partial(self._on_done, ticket))
 
@@ -285,8 +300,11 @@ class KernelService:
             # jump in on the (now free, still warm) board, then put the
             # ticket back at its job priority -- the resume may land on
             # any worker (the checkpoint migrates across boards).
+            with ticket.lock:
+                if ticket.settled:  # timed out while the slice ran
+                    return
+                ticket.resume_envelope = outcome["envelope"]
             ticket.preemptions += 1
-            ticket.resume_envelope = outcome["envelope"]
             self.stats.record_preemption()
             if ticket.slot_held:
                 ticket.slot_held = False
@@ -335,6 +353,9 @@ class KernelService:
                 return
             ticket.settled = True
             ticket.result = result
+            # A finished job's last checkpoint is dead weight (a full
+            # memory prefix per sliced job); do not keep it alive.
+            ticket.resume_envelope = None
         if ticket.timer is not None:
             ticket.timer.cancel()
         if ticket.slot_held:

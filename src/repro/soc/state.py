@@ -10,13 +10,15 @@ capture code with different lifetimes:
   channel occupancy, memory counters and functional-unit pool state.
   Taken before every parallel launch.
 * :func:`board_state` / :func:`restore_board_state` -- the full
-  board: global-memory image, prefetch residency, timeline, MicroBlaze
-  accounting, on top of the timing state.  What a serializable
-  checkpoint is built from.
+  board: the written global-memory prefix, prefetch residency,
+  timeline, MicroBlaze accounting, on top of the timing state.  What a
+  serializable checkpoint is built from.
 
-State structures are plain tuples/dicts of Python scalars plus one
-numpy memory image; they hold **live values, not references**, so a
-captured state stays valid while the board keeps running.
+State structures are plain tuples/dicts of Python scalars plus the
+memory prefix as raw ``bytes``; they hold **live values, not
+references**, so a captured state stays valid while the board keeps
+running.  (The parallel engine's rollback images all of memory
+instead: its CU threads move ``dirty_hi`` without a lock.)
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def board_state(gpu):
     ``gpu`` on this or any board with the same content key."""
     mem = gpu.memory
     return {
-        "memory": mem.global_mem.snapshot(),
+        "memory": mem.global_mem.snapshot_prefix(),
         "timing": timing_state(gpu),
         "now": gpu.now,
         "total_instructions": gpu.total_instructions,
@@ -74,7 +76,7 @@ def restore_board_state(gpu, state):
     """Inverse of :func:`board_state` (launch history is *not* part of
     the state: a revived board starts with an empty launch log)."""
     mem = gpu.memory
-    mem.global_mem.restore(state["memory"])
+    mem.global_mem.restore_prefix(state["memory"])
     restore_timing(gpu, state["timing"])
     gpu.now = state["now"]
     gpu.total_instructions = state["total_instructions"]

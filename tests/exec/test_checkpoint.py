@@ -3,7 +3,10 @@
 The checkpoint contract this file pins down:
 
 * ``to_dict``/``from_dict`` are lossless (the checkpoint *is* its
-  JSON-ready payload) and any tampering trips the SHA-256 digest.
+  payload; memory travels as base64 of the written prefix) and any
+  tampering -- on the wire or in process -- trips the SHA-256 digest.
+* The memory image is the written prefix ``[0, dirty_hi)`` and stays
+  prefix-sized across restore -> resume -> re-capture.
 * Preempt + resume reproduces the run-to-completion final state
   bit-for-bit -- memory, digests, instruction count AND cycle count --
   including when every resume lands on a different board in a
@@ -17,10 +20,11 @@ import json
 import pytest
 
 from repro.core.config import ArchConfig
-from repro.errors import CheckpointError, LaunchError
+from repro.errors import CheckpointError, LaunchError, LaunchPreempted
 from repro.exec import (STATUS_DONE, STATUS_PREEMPTED, BoardCheckpoint,
                         BoardPool, ExecutionRequest, Executor,
                         PreemptedResult)
+from repro.exec.checkpoint import CHECKPOINT_VERSION
 
 MEM = 1 << 20
 
@@ -103,6 +107,98 @@ class TestSerialization:
         wire["version"] = 999
         with pytest.raises(CheckpointError, match="version"):
             BoardCheckpoint.from_dict(wire)
+
+
+    def test_version_1_payload_rejected(self):
+        result = _fresh().execute(_request(max_slice_instructions=64))
+        wire = result.preempted.checkpoint.to_dict()
+        assert wire["version"] == CHECKPOINT_VERSION == 2
+        wire["version"] = 1
+        with pytest.raises(CheckpointError, match="version"):
+            BoardCheckpoint.from_dict(wire)
+
+    def test_flipped_wire_memory_byte_raises(self):
+        result = _fresh().execute(_request(max_slice_instructions=64))
+        wire = result.preempted.checkpoint.to_dict()
+        text = wire["memory"]
+        wire["memory"] = ("B" if text[0] == "A" else "A") + text[1:]
+        with pytest.raises(CheckpointError, match="digest"):
+            BoardCheckpoint.from_dict(wire)
+
+    def test_non_base64_wire_memory_raises(self):
+        result = _fresh().execute(_request(max_slice_instructions=64))
+        wire = result.preempted.checkpoint.to_dict()
+        wire["memory"] = "!" + wire["memory"][1:]
+        with pytest.raises(CheckpointError, match="base64"):
+            BoardCheckpoint.from_dict(wire)
+
+    def test_flipped_raw_memory_byte_fails_apply(self):
+        result = _fresh().execute(_request(max_slice_instructions=64))
+        cp = result.preempted.checkpoint
+        memory = bytearray(cp.payload["memory"])
+        memory[len(memory) // 2] ^= 0x01
+        bad = BoardCheckpoint(payload=dict(cp.payload, memory=bytes(memory)),
+                              digest=cp.digest)
+        with BoardPool(capacity=1).lease(
+                ArchConfig.baseline(), global_mem_size=MEM) as lease:
+            gm = lease.board.gpu.memory.global_mem
+            before = gm.snapshot_prefix()
+            with pytest.raises(CheckpointError, match="digest"):
+                lease.restore(bad)
+            # Verification runs before the restore touches the board.
+            assert gm.snapshot_prefix() == before
+            assert lease.board.gpu.paused is None
+
+
+class TestPrefixImage:
+    def test_capture_holds_the_written_prefix(self):
+        import numpy as np
+
+        with BoardPool(capacity=1).lease(
+                ArchConfig.baseline(), global_mem_size=MEM) as lease:
+            lease.board.upload("x", np.arange(256, dtype=np.uint32))
+            cp = lease.checkpoint()
+            gm = lease.board.gpu.memory.global_mem
+            assert len(cp.payload["memory"]) == gm.dirty_hi < MEM
+        result = _fresh().execute(_request(max_slice_instructions=64))
+        sliced = result.preempted.checkpoint.payload["memory"]
+        assert isinstance(sliced, bytes) and 0 < len(sliced) < MEM
+
+    def test_prefix_sized_after_restore_resume_recapture(self):
+        result = _fresh().execute(_request(max_slice_instructions=100))
+        cp = result.preempted.checkpoint
+        with BoardPool(capacity=1).lease(
+                ArchConfig.baseline(), global_mem_size=MEM) as lease:
+            lease.restore(cp)
+            gm = lease.board.gpu.memory.global_mem
+            assert gm.dirty_hi == len(cp.payload["memory"])
+            with pytest.raises(LaunchPreempted):
+                lease.board.resume(max_slice_instructions=100)
+            again = lease.checkpoint()
+            assert len(again.payload["memory"]) == gm.dirty_hi < MEM
+        assert again.watermark > cp.watermark
+        assert again.payload["memory"] != cp.payload["memory"]
+
+
+class TestProcessHandOff:
+    def test_process_mode_sliced_job_is_bit_identical(self):
+        """The envelope crosses the process boundary pickled (raw
+        memory bytes, no wire form) and still resumes exactly."""
+        from repro.service import Job, KernelService
+
+        plain = Job("matrix_add_i32", {"n": 64}, config="baseline",
+                    verify=False)
+        sliced = Job("matrix_add_i32", {"n": 64}, config="baseline",
+                     verify=False, slice_instructions=200)
+        with KernelService(workers=1, mode="process") as svc:
+            plain_res, sliced_res = svc.run([plain, sliced], timeout=300)
+        assert plain_res.ok and sliced_res.ok
+        assert sliced_res.preemptions >= 1
+        assert sliced_res.metrics.seconds == plain_res.metrics.seconds
+        assert sliced_res.metrics.instructions \
+            == plain_res.metrics.instructions
+        for name, digest in plain_res.digests.items():
+            assert sliced_res.digests[name] == digest
 
 
 class TestPreemptResume:

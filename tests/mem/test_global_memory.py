@@ -255,6 +255,51 @@ class TestDirtyHighWater:
         assert gm.read_u8(4000) == 0
 
 
+_WRITE_SETS = st.lists(
+    st.tuples(st.integers(0, 4095), st.integers(1, 255)), max_size=24)
+
+
+def _written(writes, size=4096):
+    gm = GlobalMemory(size)
+    for addr, value in writes:
+        gm.write_u8(addr, value)
+    return gm
+
+
+class TestPrefixSnapshot:
+    def test_snapshot_is_the_written_prefix(self):
+        gm = GlobalMemory(4096)
+        gm.write_u32(100, 0xDEADBEEF)
+        prefix = gm.snapshot_prefix()
+        assert isinstance(prefix, bytes) and len(prefix) == 104
+        assert prefix == gm.snapshot()[:104].tobytes()
+
+    @given(source=_WRITE_SETS, dirt=_WRITE_SETS)
+    @settings(max_examples=50, deadline=None)
+    def test_prefix_restore_matches_full_restore(self, source, dirt):
+        image = _written(source)
+        by_prefix, by_full = _written(dirt), _written(dirt)
+        by_prefix.restore_prefix(image.snapshot_prefix())
+        by_full.restore(image.snapshot())
+        assert np.array_equal(by_prefix.snapshot(), by_full.snapshot())
+        assert by_prefix.dirty_hi == image.dirty_hi
+        # The next capture stays prefix-sized after a restore.
+        assert by_prefix.snapshot_prefix() == image.snapshot_prefix()
+
+    @given(source=_WRITE_SETS, dirt=_WRITE_SETS)
+    @settings(max_examples=25, deadline=None)
+    def test_reset_after_prefix_restore_is_all_zero(self, source, dirt):
+        gm = _written(dirt)
+        gm.restore_prefix(_written(source).snapshot_prefix())
+        gm.reset()
+        assert gm.dirty_hi == 0
+        assert not gm.snapshot().any()
+
+    def test_oversized_prefix_raises(self):
+        with pytest.raises(SimulationError):
+            GlobalMemory(64).restore_prefix(bytes(65))
+
+
 class TestBlocks:
     def test_write_read_block(self):
         gm = GlobalMemory(4096)

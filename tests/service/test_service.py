@@ -191,6 +191,30 @@ class TestFailurePolicy:
         assert result.status is JobStatus.TIMEOUT
         assert "timeout" in result.error
 
+    def test_submit_error_does_not_kill_dispatcher(self):
+        """A pool that refuses one submission fails that job only; the
+        dispatcher keeps running and the next job still completes."""
+        with KernelService(workers=1, mode="thread") as svc:
+            real_submit = svc.pool.submit
+            calls = []
+
+            def flaky_submit(payload):
+                calls.append(payload.job_id)
+                if len(calls) == 1:
+                    raise RuntimeError("pool is broken")
+                return real_submit(payload)
+
+            svc.pool.submit = flaky_submit
+            first = svc.result(svc.submit(
+                Job("matrix_add_i32", {"n": 16}, timeout_s=60)), timeout=60)
+            second = svc.result(svc.submit(
+                Job("matrix_add_i32", {"n": 16})), timeout=60)
+            snap = svc.snapshot()
+        assert first.status is JobStatus.FAILED
+        assert "RuntimeError: pool is broken" in first.error
+        assert second.status is JobStatus.DONE
+        assert snap["status"] == {"failed": 1, "done": 1}
+
     def test_verify_failure_fails_job(self, monkeypatch):
         """A wrong-output job must fail loudly, not return garbage."""
         real_reference = KERNELS["matrix_add_i32"].reference
@@ -243,6 +267,32 @@ class TestPoolUnit:
         assert outcome["ok"]
         assert outcome["seconds"] > 0
         assert set(outcome["digests"]) == {"out"}
+
+
+    def test_resume_accepts_envelope_object_or_wire_form(self):
+        """Workers hand a preempted slice back as the PreemptedResult
+        object; ``resume`` also takes its ``to_dict()`` wire form."""
+        from repro.core.config import ArchConfig
+        from repro.exec import PreemptedResult
+        from repro.service.cache import config_key
+        arch = ArchConfig.baseline()
+        with WorkerPool(1, mode="inline") as pool:
+            first = JobPayload(
+                job_id=1, benchmark="matrix_add_i32", params={"n": 64},
+                arch=arch, config_key=config_key(arch), verify=False,
+                slice_instructions=200)
+            outcome = pool.submit(first).result()
+            assert outcome["preempted"]
+            envelope = outcome["envelope"]
+            assert isinstance(envelope, PreemptedResult)
+            finals = [pool.submit(JobPayload(
+                job_id=1, benchmark="matrix_add_i32", params={"n": 64},
+                arch=arch, config_key=config_key(arch),
+                resume=resume)).result()
+                for resume in (envelope, envelope.to_dict())]
+        assert all(final["ok"] and not final.get("preempted")
+                   for final in finals)
+        assert finals[0]["digests"] == finals[1]["digests"]
 
 
 class TestEnginePlumbing:
@@ -298,6 +348,41 @@ class TestPreemption:
             assert sliced_res.digests[name] == digest
         assert snap["preemptions"] == sliced_res.preemptions
         assert "preemptions" in sliced_res.to_dict()
+
+    def test_settled_sliced_ticket_holds_no_envelope(self):
+        """A finished sliced job releases its last checkpoint."""
+        job = Job("matrix_add_i32", {"n": 128}, config="baseline",
+                  verify=False, slice_instructions=400)
+        with KernelService(workers=1, mode="thread") as svc:
+            job_id = svc.submit(job)
+            result = svc.result(job_id, timeout=300)
+            ticket = svc._tickets[job_id]
+        assert result.ok and result.preemptions >= 1
+        assert ticket.resume_envelope is None
+
+    def test_timeout_between_slices_frees_the_slot(self):
+        """A sliced job that times out while waiting to resume is not
+        dispatched again: it would run a slice for nobody and hold the
+        only in-flight slot for good, hanging every later job."""
+        long_job = Job("matrix_add_i32", {"n": 128}, config="baseline",
+                       verify=False, slice_instructions=400, timeout_s=60)
+        with KernelService(workers=1, mode="thread",
+                           max_inflight=1) as svc:
+            real_requeue = svc.queue.requeue
+
+            def requeue_after_timeout(ticket, **kwargs):
+                svc._on_timeout(ticket)  # the timer fires first
+                return real_requeue(ticket, **kwargs)
+
+            svc.queue.requeue = requeue_after_timeout
+            long_id = svc.submit(long_job)
+            long_res = svc.result(long_id, timeout=60)
+            short_res = svc.result(svc.submit(
+                Job("matrix_add_i32", {"n": 16})), timeout=60)
+            ticket = svc._tickets[long_id]
+        assert long_res.status is JobStatus.TIMEOUT
+        assert ticket.resume_envelope is None
+        assert short_res.status is JobStatus.DONE
 
     def test_preemption_is_not_a_retry(self):
         """Slices are progress, not failures: a job preempted many
